@@ -15,7 +15,7 @@
     checks — [implies ~mask compiled phi] behaves exactly like recompiling
     the unmasked subset, without the O(|Σ|) recompile.
 
-    Since the packed rewrite, the default engine is built for raw speed:
+    Since the packed rewrite, the kernel is built for raw speed:
 
     - {b flat bitsets} — LHS applicability masks live in packed 32-bit
       words ([⌈arity / 32⌉] per rule), so mask pruning works at {e every}
@@ -30,15 +30,13 @@
 
     A [compiled] value owns mutable scratch and must be confined to one
     domain at a time; the partitioned prune compiles per chunk on its
-    worker, so this holds throughout the pipeline. *)
+    worker, so this holds throughout the pipeline.
+
+    This is the pipeline's only chase kernel.  The frozen pre-rewrite
+    kernel survives solely as the test suite's differential oracle;
+    nothing in the pipeline dispatches to it. *)
 
 open Relational
-
-(** Which chase kernel to compile for.  [`Packed] (the default) is the
-    flat-bitset arena engine; [`Reference] is the frozen PR 5 kernel
-    ({!Kernel_ref}), kept as a differential oracle and A/B baseline.
-    Both decide exactly the same implication relation. *)
-type engine = [ `Packed | `Reference ]
 
 type compiled
 
@@ -46,13 +44,13 @@ type compiled
     positions of [schema].  Rule [i] of the result corresponds to the [i]-th
     element of [sigma] (for use with masks).  Raises on unknown
     attributes. *)
-val compile : ?engine:engine -> Schema.relation -> Cfds.Cfd.t list -> compiled
+val compile : Schema.relation -> Cfds.Cfd.t list -> compiled
 
 (** [compile_ir space isigma] compiles interned CFDs against an {!Ir.space}
     (built once per MinCover site per context) instead of a schema.  The
     result only answers {!implies_ir} queries; feeding it to {!implies}
     raises.  Raises on attributes outside the space. *)
-val compile_ir : ?engine:engine -> Ir.space -> Ir.t list -> compiled
+val compile_ir : Ir.space -> Ir.t list -> compiled
 
 (** [set_rule_ir compiled space i ic] replaces rule [i] in place.
     Precondition: [ic]'s premise positions are a subset of the old rule
@@ -66,9 +64,7 @@ val set_rule_ir : compiled -> Ir.space -> int -> Ir.t -> unit
 val num_rules : compiled -> int
 
 (** A mutable bitset over the compiled rules: byte [i] nonzero iff rule
-    [i] is enabled.  Cleared rules are invisible to [implies].  The
-    representation is shared with {!Kernel_ref}, so one mask drives
-    either engine. *)
+    [i] is enabled.  Cleared rules are invisible to [implies]. *)
 type mask = Bytes.t
 
 (** A fresh mask with every rule enabled. *)
@@ -96,7 +92,6 @@ val implies : ?mask:mask -> ?fired:Bytes.t -> compiled -> Cfds.Cfd.t -> bool
 
 (** [implies_ir ?mask ?fired space compiled iphi] — the same decision over
     interned CFDs; [space] must be the space [compiled] was built with.
-    On the packed engine the steady state of this call allocates nothing
-    on the minor heap. *)
+    The steady state of this call allocates nothing on the minor heap. *)
 val implies_ir :
   ?mask:mask -> ?fired:Bytes.t -> Ir.space -> compiled -> Ir.t -> bool

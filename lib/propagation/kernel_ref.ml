@@ -49,9 +49,8 @@ type compiled = {
      (their (t,t) premise is vacuously true).  Every other rule needs an
      equality or constant some earlier change must have produced, so the
      chase seeds its worklist from the caller's setup instead of a full pass
-     over the rule set.  Mutable: {!set_rule_ir} can only ever add entries
-     (LHS shrinking may make a rule autonomous, never the reverse). *)
-  mutable autonomous : int list;
+     over the rule set. *)
+  autonomous : int list;
 }
 
 let compile_pat = function
@@ -139,19 +138,6 @@ let no_names _ = invalid_arg "Kernel_ref: IR-compiled rule set has no attribute 
 let compile_ir space isigma =
   assemble ~pos_of_name:no_names ~arity:(Ir.arity space)
     (Array.of_list (List.map (rule_of_ir space) isigma))
-
-let set_rule_ir compiled space i ic =
-  let r = rule_of_ir space ic in
-  compiled.rules.(i) <- r;
-  (* Watchers are not extended: the caller only ever replaces a rule by one
-     with a smaller premise (MinCover's LHS reductions), so the old watcher
-     entries still cover every position the new premise reads.  A rule can
-     however {e become} autonomous when its last constrained LHS entry goes. *)
-  match r with
-  | Standard { lhs; _ } when Array.for_all (fun (_, pat) -> pat = Wild) lhs ->
-    if not (List.mem i compiled.autonomous) then
-      compiled.autonomous <- i :: compiled.autonomous
-  | Standard _ | Attr_eq _ -> ()
 
 let num_rules compiled = Array.length compiled.rules
 

@@ -1,22 +1,17 @@
-(** The PR 5 implication kernel, frozen as a reference engine.
+(** The pre-rewrite implication kernel, frozen as a test oracle.
 
     This is the positional union-find chase exactly as it shipped before the
     packed-bitset rewrite of {!Fast_impl}: per-rule [int] applicability
     masks (silently disabled past [Sys.int_size - 2] attributes), boxed
     [(position, pattern)] premise rows, and per-call allocation of the
-    chase state.  It is kept for two jobs:
+    chase state.  Nothing in the pipeline calls it: it is the
+    {e differential oracle} of the kernel-equivalence suite
+    ([test/test_kernel.ml]), which calls it directly and requires the
+    packed chase to agree with it on every query.
 
-    - the {e differential oracle} of the kernel-equivalence property suite
-      ([test/test_kernel.ml]): the packed chase must agree with it on every
-      query;
-    - the {e A/B baseline} of the XL benchmark sweep ([bench --xl]): the
-      pipeline runs end to end on either kernel via
-      {!Fast_impl.engine}, so speedups are measured interleaved on
-      identical inputs.
-
-    Its observability counters are prefixed [fast_impl_ref.*] so A/B runs
-    keep the two engines' tallies apart.  Do not optimise this module —
-    its value is standing still. *)
+    Its observability counters are prefixed [fast_impl_ref.*] so they
+    never mix with the packed kernel's tallies.  Do not optimise this
+    module — its value is standing still. *)
 
 open Relational
 
@@ -24,12 +19,10 @@ type compiled
 
 val compile : Schema.relation -> Cfds.Cfd.t list -> compiled
 val compile_ir : Ir.space -> Ir.t list -> compiled
-val set_rule_ir : compiled -> Ir.space -> int -> Ir.t -> unit
 val num_rules : compiled -> int
 
 (** Masks are bytes over rule indices, byte [i] nonzero iff rule [i] is
-    enabled — the representation is shared with {!Fast_impl} so the
-    dispatching wrappers there can hand one mask to either engine. *)
+    enabled — the same representation as {!Fast_impl.mask}. *)
 type mask = Bytes.t
 
 val full_mask : compiled -> mask

@@ -20,9 +20,7 @@ type options = {
   skip_initial_mincover : bool;
   rbr_order : [ `Min_degree | `Given ];
   pool : Parallel.Pool.t option;
-  kernel : Fast_impl.engine;
   memo : (Memo.t * string) option;
-  stable_ids : bool;
   memo_results : bool;
   rbr_delta : Rbr.delta option;
 }
@@ -36,9 +34,7 @@ let default_options =
     skip_initial_mincover = false;
     rbr_order = `Min_degree;
     pool = None;
-    kernel = `Packed;
     memo = None;
-    stable_ids = false;
     memo_results = false;
     rbr_delta = None;
   }
@@ -138,8 +134,8 @@ let normalise_const_form_ir ic =
     | _ -> ic
   else ic
 
-(* With [stable_ids], every attribute name the run can touch is interned
-   up front in (schema, view)-declaration order, before Σ is seen.  The
+(* Every attribute name the run can touch is interned up front in
+   (schema, view)-declaration order, before Σ is seen.  The
    interner's id assignment — and with it every id-order tie-break in
    MinCover/ComputeEQ/RBR — then depends only on the (schema, view) pair,
    not on Σ: two runs on different Σ make identical pipeline decisions on
@@ -214,15 +210,13 @@ let instance_digest options (v : Spc.t) =
       Buffer.add_char b '\x1f')
     v.Spc.projection;
   Buffer.add_string b
-    (Printf.sprintf "\x1e%s;%s;%b;%s;%b;%s"
+    (Printf.sprintf "\x1e%s;%s;%b;%s"
        (match options.prune_chunk with None -> "-" | Some n -> string_of_int n)
        (match options.max_intermediate with
         | None -> "-"
         | Some n -> string_of_int n)
        options.skip_initial_mincover
-       (match options.rbr_order with `Min_degree -> "D" | `Given -> "G")
-       options.stable_ids
-       (match options.kernel with `Packed -> "P" | `Reference -> "R"));
+       (match options.rbr_order with `Min_degree -> "D" | `Given -> "G"));
   Memo.digest_string (Buffer.contents b)
 
 (* The pipeline interior runs entirely on the IR: one context per [cover]
@@ -232,7 +226,7 @@ let instance_digest options (v : Spc.t) =
    this down in the test suite. *)
 let compute_cover options (v : Spc.t) sigma =
   let ctx = Ir.create_ctx () in
-  if options.stable_ids then intern_universe ctx v;
+  intern_universe ctx v;
   (* The entry edge. *)
   let isigma = List.map (Ir.of_ast ctx) sigma in
   (* The given Σ are the leaves every derivation must bottom out in. *)
@@ -247,7 +241,7 @@ let compute_cover options (v : Spc.t) sigma =
          steps, so the shared-slice cache is bypassed while --why is on. *)
       let memo = if Provenance.enabled () then None else options.memo in
       Obs.with_span_traced s_initial_mincover (fun () ->
-          Mincover.minimal_cover_db_ir ?memo ~engine:options.kernel ctx
+          Mincover.minimal_cover_db_ir ?memo ctx
             v.Spc.source isigma)
     end
   in
@@ -329,7 +323,7 @@ let compute_cover options (v : Spc.t) sigma =
     in
     let sigma_c, completeness =
       Obs.with_span_traced s_rbr (fun () ->
-          Rbr.reduce_ir ~ctx ?prune ?pool:options.pool ~engine:options.kernel
+          Rbr.reduce_ir ~ctx ?prune ?pool:options.pool
             ?delta:options.rbr_delta ?max_size:options.max_intermediate
             ~order:options.rbr_order sigma_v ~drop_ids)
     in
@@ -362,7 +356,7 @@ let compute_cover options (v : Spc.t) sigma =
     let vspace = Ir.space_of_schema ctx view_schema in
     let cover_ir =
       Obs.with_span_traced s_final_mincover (fun () ->
-          Mincover.minimal_cover_ir ~engine:options.kernel ctx vspace all)
+          Mincover.minimal_cover_ir ctx vspace all)
     in
     (* The exit edge. *)
     let cover = List.sort C.compare (List.map (Ir.to_ast ctx) cover_ir) in
@@ -471,7 +465,7 @@ let cover_spcu ?(options = default_options) (view : Spcu.t) sigma =
     in
     let schema = Spcu.view_schema view in
     {
-      cover = Mincover.minimal_cover ~engine:options.kernel schema certified;
+      cover = Mincover.minimal_cover schema certified;
       complete = List.for_all (fun (_, r) -> r.complete) branch_results;
       always_empty = false;
     }

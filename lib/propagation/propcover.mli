@@ -8,7 +8,15 @@
     (⊥ short-circuits to the always-empty-view cover of Lemma 4.5) →
     renaming per product factor → representative substitution and key CFDs
     for the domain constraints (Lemmas 4.2/4.3) → [RBR] over the dropped
-    attributes → [EQ2CFD] → final [MinCover]. *)
+    attributes → [EQ2CFD] → final [MinCover].
+
+    Every run interns the (schema, view) attribute names up front, in
+    declaration order, before Σ is seen: the IR's id assignment — and
+    every id-order tie-break in the pipeline — is a function of the
+    (schema, view) pair alone.  Covers are therefore byte-identical across
+    Σ-deltas that leave the name-level pipeline inputs unchanged, which
+    the serve layer's resident sessions and {!Rbr}'s derivation store
+    rely on.  All MinCover calls run the packed {!Fast_impl} kernel. *)
 
 open Relational
 
@@ -25,25 +33,12 @@ type options = {
   pool : Parallel.Pool.t option;
       (** domain pool for the partitioned pruning inside RBR; [None] (the
           default) keeps everything on the calling domain *)
-  kernel : Fast_impl.engine;
-      (** implication kernel for every MinCover in the pipeline:
-          [`Packed] (the default) or the frozen [`Reference] PR 5 engine —
-          covers are identical either way (the XL bench A/B asserts it) *)
   memo : (Memo.t * string) option;
       (** cross-view memo + key namespace for the fleet driver: line 1's
           per-relation MinCover(Σ) slices are cached/reused through it
           (see {!Mincover.minimal_cover_db_ir}).  [None] (the default)
           changes nothing; the memo is also bypassed while provenance
           recording is enabled so [--why] derivations stay complete *)
-  stable_ids : bool;
-      (** intern every (schema, view) attribute name up front, in
-          declaration order, so the IR's id assignment — and every
-          id-order tie-break in the pipeline — is independent of Σ.
-          Covers are equivalent either way, but only under [stable_ids]
-          are they {e byte-identical} across Σ-deltas that leave the
-          name-level pipeline inputs unchanged; the serve layer's
-          resident sessions rely on this.  Off by default (the historical
-          Σ-order id assignment is pinned by the bench baselines) *)
   memo_results : bool;
       (** with [memo] set, additionally cache the {e final result} under
           ["tail:<ns>:<instance digest>:<digest Σ>"] — a hit skips the
@@ -55,8 +50,7 @@ type options = {
           covers sharing the store seed RBR's buckets from each other's
           surviving resolvents and replay unchanged prune rounds.  Pure
           sub-computation caching — never changes the cover's bytes (so
-          it is absent from the instance digest) — but sound only when
-          every sharing call uses [stable_ids] over the same
+          it is absent from the instance digest); share one store per
           (schema, view) pair, as the resident sessions do.  Bypassed
           while provenance records.  [None] (the default) derives
           everything from scratch *)

@@ -26,7 +26,6 @@ let op_telemetry name =
 type t = {
   memo : Propagation.Memo.t;
   pool : Parallel.Pool.t option;
-  kernel : Propagation.Fast_impl.engine;
   replicas : int;  (* engine slots per session *)
   max_line : int;
   access_log : out_channel option;
@@ -44,7 +43,7 @@ type t = {
   errors : int Atomic.t;
 }
 
-let create ?pool ?(kernel = `Packed) ?replicas
+let create ?pool ?replicas
     ?(max_line = Protocol.default_max_len) ?access_log ?slow_ms () =
   let replicas =
     match replicas with
@@ -57,7 +56,6 @@ let create ?pool ?(kernel = `Packed) ?replicas
   {
     memo = Propagation.Memo.create ();
     pool;
-    kernel;
     replicas;
     max_line;
     access_log;
@@ -178,7 +176,7 @@ let do_open t ~session ~doc ~view =
           Ok name)
   in
   match
-    Session.create ~kernel:t.kernel ?pool:t.pool ~replicas:t.replicas
+    Session.create ?pool:t.pool ~replicas:t.replicas
       ~memo:t.memo ~name ~view ~sigma ()
   with
   | Error _ as e ->
@@ -382,72 +380,75 @@ let access_log_line ~id ~op ~session ~outcome ~lat_us ~slow =
   let slow_field = if slow then [ ("slow", Json.Bool true) ] else [] in
   Json.to_string (Json.Obj (base @ outcome_fields @ slow_field))
 
-(* The single entry point: never raises, always one response line (or ""
-   for blank/comment lines).  Request timing only runs when something
-   consumes it — the histogram channel, the access log, or the slow-ms
-   threshold — so the fully-disabled path keeps its one-atomic-load
-   cost. *)
+(* Answer one request, parsed by [parse ()]: never raises, always one
+   response line, with the error flag.  Request timing only runs when
+   something consumes it — the histogram channel, the access log, or the
+   slow-ms threshold — so the fully-disabled path keeps its
+   one-atomic-load cost. *)
+let respond t parse =
+  let timed =
+    Obs.hist_enabled () || t.access_log <> None || t.slow_us <> None
+  in
+  let t0 = if timed then Obs.now () else 0. in
+  Atomic.incr t.requests;
+  Obs.incr c_requests;
+  let op = ref "invalid" in
+  let session = ref None in
+  let id, outcome =
+    match parse () with
+    | Error (msg, id) -> (id, Error msg)
+    | Ok req ->
+      op := Protocol.op_name req.Protocol.op;
+      session := Protocol.session_of req.Protocol.op;
+      ( req.Protocol.id,
+        try dispatch t req with
+        | Invalid_argument msg | Failure msg ->
+          Error (Printf.sprintf "request failed: %s" msg)
+        | exn ->
+          Error
+            (Printf.sprintf "request failed: %s" (Printexc.to_string exn))
+      )
+  in
+  let op = !op and session = !session in
+  let c_op, h_op = op_telemetry op in
+  Obs.incr c_op;
+  if timed then begin
+    let lat_us = (Obs.now () -. t0) *. 1e6 in
+    if Obs.hist_enabled () then begin
+      Obs.observe_us h_req lat_us;
+      Obs.observe_us h_op lat_us
+    end;
+    let slow =
+      match t.slow_us with Some s -> lat_us >= s | None -> false
+    in
+    if slow then
+      Obs.trace_instant
+        ~args:
+          ([ ("op", op); ("latency_us", Printf.sprintf "%.1f" lat_us) ]
+          @ match session with Some s -> [ ("session", s) ] | None -> [])
+        "serve.slow";
+    match t.access_log with
+    | Some oc ->
+      let line = access_log_line ~id ~op ~session ~outcome ~lat_us ~slow in
+      Mutex.lock t.log_lock;
+      output_string oc line;
+      output_char oc '\n';
+      flush oc;
+      Mutex.unlock t.log_lock
+    | None -> ()
+  end;
+  match outcome with
+  | Ok fields -> (Protocol.ok ?id fields, false)
+  | Error msg ->
+    Atomic.incr t.errors;
+    Obs.incr c_errors;
+    (Protocol.error ?id msg, true)
+
+(* The single entry point for a whole line ("" for blank/comment
+   lines). *)
 let handle_line_counted t line =
   if is_comment line then ("", false)
-  else begin
-    let timed =
-      Obs.hist_enabled () || t.access_log <> None || t.slow_us <> None
-    in
-    let t0 = if timed then Obs.now () else 0. in
-    Atomic.incr t.requests;
-    Obs.incr c_requests;
-    let op = ref "invalid" in
-    let session = ref None in
-    let id, outcome =
-      match Protocol.of_line ~max_len:t.max_line line with
-      | Error (msg, id) -> (id, Error msg)
-      | Ok req ->
-        op := Protocol.op_name req.Protocol.op;
-        session := Protocol.session_of req.Protocol.op;
-        ( req.Protocol.id,
-          try dispatch t req with
-          | Invalid_argument msg | Failure msg ->
-            Error (Printf.sprintf "request failed: %s" msg)
-          | exn ->
-            Error
-              (Printf.sprintf "request failed: %s" (Printexc.to_string exn))
-        )
-    in
-    let op = !op and session = !session in
-    let c_op, h_op = op_telemetry op in
-    Obs.incr c_op;
-    if timed then begin
-      let lat_us = (Obs.now () -. t0) *. 1e6 in
-      if Obs.hist_enabled () then begin
-        Obs.observe_us h_req lat_us;
-        Obs.observe_us h_op lat_us
-      end;
-      let slow =
-        match t.slow_us with Some s -> lat_us >= s | None -> false
-      in
-      if slow then
-        Obs.trace_instant
-          ~args:
-            ([ ("op", op); ("latency_us", Printf.sprintf "%.1f" lat_us) ]
-            @ match session with Some s -> [ ("session", s) ] | None -> [])
-          "serve.slow";
-      match t.access_log with
-      | Some oc ->
-        let line = access_log_line ~id ~op ~session ~outcome ~lat_us ~slow in
-        Mutex.lock t.log_lock;
-        output_string oc line;
-        output_char oc '\n';
-        flush oc;
-        Mutex.unlock t.log_lock
-      | None -> ()
-    end;
-    match outcome with
-    | Ok fields -> (Protocol.ok ?id fields, false)
-    | Error msg ->
-      Atomic.incr t.errors;
-      Obs.incr c_errors;
-      (Protocol.error ?id msg, true)
-  end
+  else respond t (fun () -> Protocol.of_line ~max_len:t.max_line line)
 
 let handle_line t line = fst (handle_line_counted t line)
 
@@ -458,21 +459,96 @@ let handle_batch t lines =
 (* ------------------------------------------------------------------ *)
 (* Front ends *)
 
-let run_channels ?(once = false) t ic oc =
-  ignore once;
+(* A request-line reader that enforces the line cap while reading.  Bytes
+   are pulled through the channel's buffer in chunks and scanned for the
+   newline, and at most [max + 1] bytes of a line are ever held, so a
+   client that never sends a newline cannot grow the daemon.  [`Too_long]
+   is reported as soon as the cap is passed; the rest of that line is
+   discarded up to its newline.  As with [input_line], a final line
+   without a newline is still returned at EOF. *)
+type reader = {
+  ic : in_channel;
+  max : int;
+  chunk : Bytes.t;
+  mutable pos : int;
+  mutable len : int;
+  line : Buffer.t;
+  mutable skipping : bool;  (* inside the tail of an oversized line *)
+}
+
+let reader ic max =
+  {
+    ic;
+    max;
+    chunk = Bytes.create 1024;
+    pos = 0;
+    len = 0;
+    line = Buffer.create 256;
+    skipping = false;
+  }
+
+let rec read_request r =
+  if r.pos >= r.len then begin
+    r.pos <- 0;
+    r.len <- input r.ic r.chunk 0 (Bytes.length r.chunk)
+  end;
+  if r.len = 0 then begin
+    let last = Buffer.contents r.line in
+    Buffer.clear r.line;
+    if last = "" || r.skipping then `Eof else `Line last
+  end
+  else begin
+    let stop = ref r.pos in
+    while !stop < r.len && Bytes.unsafe_get r.chunk !stop <> '\n' do
+      incr stop
+    done;
+    let newline = !stop < r.len in
+    let from = r.pos in
+    r.pos <- (if newline then !stop + 1 else r.len);
+    if r.skipping then begin
+      if newline then r.skipping <- false;
+      read_request r
+    end
+    else begin
+      let room = r.max + 1 - Buffer.length r.line in
+      Buffer.add_subbytes r.line r.chunk from (min room (!stop - from));
+      if Buffer.length r.line > r.max then begin
+        Buffer.clear r.line;
+        r.skipping <- not newline;
+        `Too_long
+      end
+      else if newline then begin
+        let line = Buffer.contents r.line in
+        Buffer.clear r.line;
+        `Line line
+      end
+      else read_request r
+    end
+  end
+
+let run_channels t ic oc =
+  let r = reader ic t.max_line in
+  let too_long = Printf.sprintf "line exceeds %d bytes" t.max_line in
   let errors = ref 0 in
-  (try
-     while true do
-       let line = input_line ic in
-       let resp, err = handle_line_counted t line in
-       if err then incr errors;
-       if resp <> "" then begin
-         output_string oc resp;
-         output_char oc '\n';
-         flush oc
-       end
-     done
-   with End_of_file -> ());
+  let rec loop () =
+    let answer =
+      match read_request r with
+      | `Eof -> None
+      | `Line line -> Some (handle_line_counted t line)
+      | `Too_long -> Some (respond t (fun () -> Error (too_long, None)))
+    in
+    match answer with
+    | None -> ()
+    | Some (resp, err) ->
+      if err then incr errors;
+      if resp <> "" then begin
+        output_string oc resp;
+        output_char oc '\n';
+        flush oc
+      end;
+      loop ()
+  in
+  loop ();
   !errors
 
 let run_tcp ?(host = "127.0.0.1") ?on_listen ?(stop = fun () -> false) t

@@ -15,8 +15,7 @@
 type t
 
 (** [create ()] — [pool] batches concurrent requests across domains in
-    {!handle_batch}; [kernel] selects the implication engine for every
-    session; [replicas] fixes each session's engine-slot count (floored
+    {!handle_batch}; [replicas] fixes each session's engine-slot count (floored
     to 1; default: the pool's worker count, or 1 without a pool), so a
     saturating batch never queues on one compiled engine; [max_line]
     caps accepted request lines (default {!Protocol.default_max_len}).
@@ -34,7 +33,6 @@ type t
     contract of {!Obs} holds (one atomic load per channel). *)
 val create :
   ?pool:Parallel.Pool.t ->
-  ?kernel:Propagation.Fast_impl.engine ->
   ?replicas:int ->
   ?max_line:int ->
   ?access_log:out_channel ->
@@ -70,10 +68,15 @@ val handle_line : t -> string -> string
 val handle_batch : t -> string list -> string list
 
 (** [run_channels t ic oc] — the stdio loop: read a line, answer, flush,
-    until EOF.  With [once] (scripted transcripts) the exit status is
-    the number of error responses produced — CI smoke fails when a
-    transcript line errors.  Returns that error count in both modes. *)
-val run_channels : ?once:bool -> t -> in_channel -> out_channel -> int
+    until EOF.  Returns the number of error responses produced (the CLI's
+    [--once] turns it into the exit status).
+
+    The line cap is enforced while reading: a line is never held past
+    [max_line + 1] bytes.  As soon as a line passes the cap, one
+    [line exceeds] error response is written, and the rest of that line
+    is discarded up to its newline — a client that never sends one
+    cannot grow the daemon. *)
+val run_channels : t -> in_channel -> out_channel -> int
 
 (** [run_tcp t ~port ()] — bind loopback (or [host]) and serve each
     accepted connection with the stdio loop, one at a time.

@@ -97,6 +97,51 @@ let test_protocol_errors () =
   check_bool "ping after abuse" true
     (is_ok (Server.handle_line t "{\"op\": \"ping\"}"))
 
+(* The stdio loop enforces the line cap while reading.  100 bytes with no
+   newline must draw the error response at once — a reader that waits for
+   the newline before checking the cap never answers, and holds whatever
+   the client sends.  Once the oversized line ends, the same connection
+   keeps serving. *)
+let test_bounded_reader () =
+  let t = Server.create ~max_line:64 () in
+  let req_r, req_w = Unix.pipe () in
+  let resp_r, resp_w = Unix.pipe () in
+  let server =
+    Stdlib.Domain.spawn (fun () ->
+        let oc = Unix.out_channel_of_descr resp_w in
+        let errors = Server.run_channels t (Unix.in_channel_of_descr req_r) oc in
+        close_out oc;
+        errors)
+  in
+  let responses = Unix.in_channel_of_descr resp_r in
+  let send s = ignore (Unix.write_substring req_w s 0 (String.length s)) in
+  let writer_open = ref true in
+  let close_requests () =
+    if !writer_open then begin
+      writer_open := false;
+      Unix.close req_w
+    end
+  in
+  Fun.protect ~finally:close_requests @@ fun () ->
+  let next what =
+    match Unix.select [ resp_r ] [] [] 10. with
+    | [], _, _ -> Alcotest.failf "no response to %s within 10 s" what
+    | _ -> input_line responses
+  in
+  send (String.make 100 'x');
+  let r = next "100 bytes without a newline" in
+  check_bool "oversized -> ok:false" false (is_ok r);
+  check_bool "error names the cap" true
+    (field r "error" = Some (Json.Str "line exceeds 64 bytes"));
+  send (String.make 50 'y' ^ "\n{\"op\": \"ping\"}\n");
+  let r = next "ping after the oversized line" in
+  check_bool "pong" true (field r "pong" = Some (Json.Bool true));
+  close_requests ();
+  check_int "one error response" 1 (Stdlib.Domain.join server);
+  check_bool "nothing else written" true
+    (In_channel.input_all responses = "");
+  close_in responses
+
 let example_doc =
   "schema R1(AC: string, phn: string, name: string, street: string, \
    city: string, zip: string); cfd R1([zip] -> [street]); cfd R1([AC] -> \
@@ -227,48 +272,6 @@ let test_delta_tiers () =
   check_int "patches" 2 st.Session.patches;
   check_int "fallbacks" 2 st.Session.fallbacks;
   check_int "noops" 1 st.Session.noops
-
-(* stable_ids changes interning order, never semantics: on random
-   workloads the stable-id cover and the default cover mutually imply. *)
-let stable_ids_equivalent seed =
-  let rng = Workload.Rng.make seed in
-  let relations = Workload.Rng.range rng 2 4 in
-  let schema =
-    Workload.Schema_gen.generate rng ~relations ~min_arity:3 ~max_arity:6
-  in
-  let count = Workload.Rng.range rng 6 16 in
-  let sigma =
-    Workload.Cfd_gen.generate rng ~schema ~count ~max_lhs:4 ~var_pct:50
-  in
-  let ec = Workload.Rng.range rng 1 2 in
-  let y = Workload.Rng.range rng 2 5 in
-  let f = Workload.Rng.range rng 0 2 in
-  let view = Workload.View_gen.generate rng ~schema ~y ~f ~ec in
-  let default = P.Propcover.cover view sigma in
-  let stable =
-    P.Propcover.cover
-      ~options:{ P.Propcover.default_options with stable_ids = true }
-      view sigma
-  in
-  let vschema = Spc.view_schema view in
-  default.P.Propcover.always_empty = stable.P.Propcover.always_empty
-  && (default.P.Propcover.always_empty
-     || (List.for_all
-           (fun phi ->
-             P.Implication.implies vschema default.P.Propcover.cover phi)
-           stable.P.Propcover.cover
-        && List.for_all
-             (fun phi ->
-               P.Implication.implies vschema stable.P.Propcover.cover phi)
-             default.P.Propcover.cover))
-
-let test_stable_ids () =
-  List.iter
-    (fun seed ->
-      check_bool
-        (Printf.sprintf "stable_ids equivalent (seed %d)" seed)
-        true (stable_ids_equivalent seed))
-    [ 3; 17; 101; 4_096; 271_828 ]
 
 (* ------------------------------------------------------------------ *)
 (* The differential harness: delta walks vs from-scratch batch runs *)
@@ -541,16 +544,69 @@ let test_delta_seeding_counters () =
   check_bool "derivations were reused" true (counter "rbr.delta_reuse" >= 1);
   check_bool "seeded cover matches fresh batch" true (covers_match s)
 
+(* The derivation store's contract outside a session: one store shared by
+   covers of unrelated Σ over one (schema, view) pair — Σa, then an
+   independently drawn Σb, then Σa again, largely served from its own
+   cached resolvents — leaves every cover byte-identical to a cold run.
+   A store keyed too coarsely (say, on the producer alone) hands a pair
+   another pair's resolvent and fails here.  Exposed as [seed -> bool]
+   for the seed-replay corpus in regressions.ml; the pinned seeds are
+   ones where such a key does corrupt the cover. *)
+let shared_store_matches_cold seed =
+  let rng = Workload.Rng.make seed in
+  let relations = Workload.Rng.range rng 2 4 in
+  let schema =
+    Workload.Schema_gen.generate rng ~relations ~min_arity:3 ~max_arity:6
+  in
+  let draw () =
+    let count = Workload.Rng.range rng 6 16 in
+    Workload.Cfd_gen.generate rng ~schema ~count ~max_lhs:4 ~var_pct:50
+  in
+  let sigma_a = draw () in
+  let sigma_b = draw () in
+  let ec = Workload.Rng.range rng 1 2 in
+  let y = Workload.Rng.range rng 2 5 in
+  let f = Workload.Rng.range rng 0 2 in
+  let view = Workload.View_gen.generate rng ~schema ~y ~f ~ec in
+  let shared =
+    {
+      P.Propcover.default_options with
+      rbr_delta = Some (P.Rbr.create_delta ());
+    }
+  in
+  let same (r : P.Propcover.result) (cold : P.Propcover.result) =
+    r.always_empty = cold.always_empty
+    && r.complete = cold.complete
+    && List.length r.cover = List.length cold.cover
+    && List.for_all2 (fun a b -> C.compare a b = 0) r.cover cold.cover
+  in
+  List.for_all
+    (fun sigma ->
+      same
+        (P.Propcover.cover ~options:shared view sigma)
+        (P.Propcover.cover view sigma))
+    [ sigma_a; sigma_b; sigma_a ]
+
+let test_shared_store () =
+  List.iter
+    (fun seed ->
+      check_bool
+        (Printf.sprintf "shared store matches cold (seed %d)" seed)
+        true
+        (shared_store_matches_cold seed))
+    [ 3; 17; 101; 4_096; 271_828 ]
+
 let suite =
   [
     ("json roundtrip", `Quick, test_json_roundtrip);
     ("protocol errors survive", `Quick, test_protocol_errors);
+    ("reader enforces the line cap", `Quick, test_bounded_reader);
     ("session lifecycle", `Quick, test_lifecycle);
     ("batch preserves order", `Quick, test_batch_order);
     ("delta tiers on the running example", `Quick, test_delta_tiers);
-    ("stable ids preserve semantics", `Quick, test_stable_ids);
     ("concurrent hammer", `Quick, test_concurrent_hammer);
     ("replicated swap torture", `Quick, test_replicated_swap_torture);
     ("delta seeding counters", `Quick, test_delta_seeding_counters);
+    ("shared store matches cold covers", `Quick, test_shared_store);
   ]
   @ List.map QCheck_alcotest.to_alcotest [ prop_walk ]
